@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"testing"
 
-	"specrun/internal/asm"
 	"specrun/internal/attack"
 	"specrun/internal/core"
 	"specrun/internal/cpu"
@@ -357,39 +356,6 @@ func BenchmarkSimSpeed(b *testing.B) {
 			b.Fatal(err)
 		}
 		cycles += m.Stats().Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
-// BenchmarkBatchSimSpeed is BenchmarkSimSpeed on the batched driver: four
-// machines advanced in lockstep by one serial loop (cpu.Batch), the path the
-// campaign drivers take under --lanes.  The metric is aggregate simulated
-// cycles across the lanes per host second; like the single-lane benchmark the
-// steady state performs zero heap allocations per op (pinned by the cpu
-// package's alloc suite and the committed baseline).  On multi-core hosts
-// Batch.SetParallel shards the lanes across cores for a near-linear further
-// win; this benchmark stays serial so allocs/op stays exactly zero.
-func BenchmarkBatchSimSpeed(b *testing.B) {
-	const lanes = 4
-	progs := make([]*asm.Program, lanes)
-	for i := range progs {
-		progs[i] = proggen.Generate(42+int64(i), proggen.DefaultOptions())
-	}
-	batch := cpu.NewBatch(core.DefaultConfig(), lanes)
-	for _, err := range batch.RunPrograms(progs, 50_000_000) { // warmup all lanes
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for li, err := range batch.RunPrograms(progs, 50_000_000) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += batch.CPU(li).Stats().Cycles
-		}
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim_cycles/s")
 }

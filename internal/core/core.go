@@ -274,121 +274,6 @@ func RunProgramStatsCtx(ctx context.Context, cfg Config, prog *asm.Program, budg
 	return st, nil
 }
 
-// ProgramJob is one lane of a batched run: a program and the configuration
-// to simulate it under.
-type ProgramJob struct {
-	Cfg  Config
-	Prog *asm.Program
-}
-
-// RunProgramJobsCtx executes every job on a pooled machine and returns the
-// per-job statistics and errors (both aligned with jobs; an errored job's
-// stats are zero).  Jobs are chunked into groups of `lanes` machines advanced
-// in lockstep by the batch driver (lanes <= 1 means one machine per group),
-// and the groups shard across `workers` goroutines.  Results are
-// byte-identical at any lane or worker count: machines share nothing, so the
-// tick interleaving is unobservable.  The returned error reports
-// cancellation; per-job simulation failures only appear in the error slice.
-func RunProgramJobsCtx(ctx context.Context, jobs []ProgramJob, lanes, workers int) ([]cpu.Stats, []error, error) {
-	if lanes < 1 {
-		lanes = 1
-	}
-	stats := make([]cpu.Stats, len(jobs))
-	errs := make([]error, len(jobs))
-	groups := make([][2]int, 0, (len(jobs)+lanes-1)/lanes)
-	for lo := 0; lo < len(jobs); lo += lanes {
-		groups = append(groups, [2]int{lo, min(lo+lanes, len(jobs))})
-	}
-	// Each group occupies one worker slot (and one sweep.Gate slot) for its
-	// whole lockstep run; groups write disjoint stats/errs ranges.
-	_, runErr := sweep.Run(ctx, groups, func(_ context.Context, g [2]int) (struct{}, error) {
-		lo, hi := g[0], g[1]
-		ms := make([]*cpu.CPU, hi-lo)
-		pools := make([]*sweep.Local[*Machine], hi-lo)
-		machines := make([]*Machine, hi-lo)
-		for i := lo; i < hi; i++ {
-			j := jobs[i]
-			pool := poolFor(j.Cfg)
-			var m *Machine
-			if pool != nil {
-				m = pool.Get()
-			}
-			if m == nil {
-				machinePools.misses.Add(1)
-				m = NewMachine(j.Cfg, j.Prog)
-			} else {
-				machinePools.hits.Add(1)
-				m.Reset(j.Prog)
-			}
-			ms[i-lo], pools[i-lo], machines[i-lo] = m.CPU, pool, m
-		}
-		cpu.RunLockstep(ms, defaultBudget, errs[lo:hi])
-		for i := lo; i < hi; i++ {
-			m := machines[i-lo]
-			if errs[i] == nil {
-				st := *m.Stats()
-				// Clone the reaches buffer: the recycled machine's next job
-				// truncates and overwrites it (same contract as
-				// RunProgramStats).
-				st.EpisodeReaches = append([]uint64(nil), st.EpisodeReaches...)
-				stats[i] = st
-			}
-			if pools[i-lo] != nil {
-				pools[i-lo].Put(m)
-			}
-		}
-		return struct{}{}, nil
-	}, sweep.Options{Workers: workers})
-	return stats, errs, runErr
-}
-
-// RunIPCComparisonLanes is RunIPCComparisonCtx routed through the batched
-// driver: the 2×len(kernels) simulations run in lockstep lane groups instead
-// of one sweep job each.  Rows are byte-identical to RunIPCComparisonCtx at
-// any lane count.
-func RunIPCComparisonLanes(ctx context.Context, base Config, workers, lanes int) ([]IPCRow, error) {
-	raCfg := base
-	if raCfg.Runahead.Kind == runahead.KindNone {
-		raCfg.Runahead.Kind = runahead.KindOriginal
-	}
-	noCfg := base
-	noCfg.Runahead.Kind = runahead.KindNone
-
-	kernels := workload.Kernels()
-	ipcJobs := make([]ipcJob, 0, 2*len(kernels))
-	jobs := make([]ProgramJob, 0, 2*len(kernels))
-	for _, k := range kernels {
-		ipcJobs = append(ipcJobs, ipcJob{kernel: k, cfg: noCfg}, ipcJob{kernel: k, cfg: raCfg, ra: true})
-		jobs = append(jobs, ProgramJob{Cfg: noCfg, Prog: k.Build()}, ProgramJob{Cfg: raCfg, Prog: k.Build()})
-	}
-	stats, errs, runErr := RunProgramJobsCtx(ctx, jobs, lanes, workers)
-	if runErr != nil {
-		return nil, runErr
-	}
-	for i, err := range errs {
-		if err != nil { // first failing job, like sweep.First's fail-fast error
-			j := ipcJobs[i]
-			return nil, fmt.Errorf("core: %s (ra=%v): %w", j.kernel.Name, j.ra, err)
-		}
-	}
-
-	rows := make([]IPCRow, 0, len(kernels))
-	for i, k := range kernels {
-		row := IPCRow{Name: k.Name, Description: k.Descr}
-		for col, st := range stats[2*i : 2*i+2] {
-			row.Cycles[col] = st.Cycles
-			row.Insts = st.Committed
-			row.IPC[col] = st.IPC()
-			if col == 1 {
-				row.Episodes = st.RunaheadEpisodes
-			}
-		}
-		row.Speedup = row.IPC[1] / row.IPC[0]
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // IPCRow is one bar pair of Fig. 7.
 type IPCRow struct {
 	Name        string     `json:"name"`

@@ -78,8 +78,23 @@ func (c *CPU) maybeEnterRunahead(u *uop, now uint64) {
 	if !c.rob.full() && !halted {
 		return
 	}
+	if u.pc != c.raReentryPC {
+		c.raReentryPC, c.raReentries = u.pc, 0
+	} else if c.raReentries >= maxRunaheadReentries {
+		return
+	}
+	c.raReentries++
 	c.enterRunahead(u, now)
 }
+
+// maxRunaheadReentries caps back-to-back runahead entries on the same
+// stalling load with no normal-mode commit in between.  A load whose miss is
+// served in fewer cycles than an episode costs (an L2 hit on a machine that
+// triggers at L2) otherwise enters runahead, exits, misses again and
+// re-enters forever; every entry and exit counts as progress, so the
+// deadlock watchdog never fires.  After the cap the load simply waits for
+// its fill in normal mode.
+const maxRunaheadReentries = 4
 
 // trackStallWindow records the normal-mode in-flight high-water mark while a
 // memory-stalled load blocks the ROB head: Fig. 10 case ① (N1 is bounded by
@@ -142,6 +157,7 @@ func (c *CPU) retire(u *uop, now uint64) {
 	pd := u.pd
 	op := pd.Op
 	c.stats.Committed++
+	c.raReentries = 0
 
 	if u.dest != isa.NoReg {
 		c.arch.write(u.dest, u.result, u.result2, false, 0)

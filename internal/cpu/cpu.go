@@ -226,6 +226,10 @@ type CPU struct {
 
 	mode Mode
 	ra   runaheadState
+	// Back-to-back runahead entries on the load at raReentryPC with no
+	// normal-mode commit between them (bounded by maxRunaheadReentries).
+	raReentryPC uint64
+	raReentries int
 
 	cycle uint64
 	seq   uint64
@@ -406,6 +410,7 @@ func (c *CPU) Reset(prog *asm.Program) {
 	c.rat.reset()
 	c.mode = ModeNormal
 	c.ra = runaheadState{}
+	c.raReentryPC, c.raReentries = 0, 0
 	c.cycle, c.seq = 0, 0
 
 	c.fetchPC = prog.Base
@@ -472,8 +477,11 @@ func (c *CPU) VecReg(i int) [2]uint64 { return c.arch.vecv[i] }
 // Mode returns the current execution mode.
 func (c *CPU) Mode() Mode { return c.mode }
 
-// progressWindow is the number of cycles without a retirement after which
-// Run declares a deadlock.
+// progressWindow is the number of cycles without progress after which Run
+// declares a deadlock.  Progress is a retirement or pseudo-retirement, and
+// also a runahead entry or exit, so the watchdog alone would never stop a
+// load that keeps re-entering runahead; maxRunaheadReentries bounds that
+// case instead.
 const progressWindow = 200_000
 
 // simCycles is the process-wide count of cycles simulated by every Run call

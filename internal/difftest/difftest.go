@@ -145,12 +145,6 @@ type runnerCache struct {
 
 	refRecs  []record
 	pipeRecs []record
-
-	// Lane scratch for CheckSeedLanes: per-lane machines, results and commit
-	// records for one lockstep group (reused across groups and seeds).
-	laneMs   []*cpu.CPU
-	laneErrs []error
-	laneRecs [][]record
 }
 
 // cacheEntry guards reuse by value-comparing the full configuration: two
@@ -241,9 +235,7 @@ func (rc *runnerCache) pipeStream(nc NamedConfig, prog *asm.Program) ([]record, 
 
 // entryFor returns nc's cached machine loaded with prog (Reset on reuse,
 // built on first use, LRU-evicting on overflow) and marks it most recently
-// used.  Entries touched back to back — a lockstep lane group — carry the
-// highest lastUse values, so a group of at most RunnerCacheCap machines never
-// evicts its own members.
+// used.
 func (rc *runnerCache) entryFor(nc NamedConfig, prog *asm.Program) *cacheEntry {
 	e := rc.cpus[nc.Name]
 	if e == nil || e.cfg != nc.Config {

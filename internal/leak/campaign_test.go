@@ -204,3 +204,36 @@ func TestLeakRegressions(t *testing.T) {
 		}
 	}
 }
+
+// TestTinyRunaheadReentryRegressions replays the leak seeds whose ROB-head
+// load used to livelock the quick matrix's "tiny" machine: its miss is
+// served from L2 sooner than a runahead episode lasts, so it entered
+// runahead, exited, missed again and re-entered until the cycle budget ran
+// out.  With re-entry capped, both valuations halt on tiny and the program
+// still matches the reference interpreter.
+func TestTinyRunaheadReentryRegressions(t *testing.T) {
+	var tiny []difftest.NamedConfig
+	for _, nc := range difftest.Matrix(false) {
+		if nc.Name == "tiny" {
+			tiny = append(tiny, nc)
+		}
+	}
+	if len(tiny) != 1 {
+		t.Fatal("quick matrix has no tiny config")
+	}
+	opt := Options(difftest.CampaignSpec{Leaks: true}.WithDefaults())
+	for _, seed := range []int64{7006747, 16004922, 18004863, 2046873939006408} {
+		res := CheckSeed(seed, opt, tiny)
+		if len(res.Ran) != 1 {
+			t.Errorf("seed %d: tiny did not run: %+v", seed, res.Findings)
+		}
+		for _, f := range res.Findings {
+			if f.Kind != KindLeak {
+				t.Errorf("seed %d: %s: %s", seed, f.Kind, f.Detail)
+			}
+		}
+		if d := difftest.CheckSeed(seed, opt, tiny).Divergences; len(d) > 0 {
+			t.Errorf("seed %d: %d divergences from the reference, first %s: %s", seed, len(d), d[0].Kind, d[0].Detail)
+		}
+	}
+}

@@ -190,49 +190,78 @@ func TestFailedAttemptRequeued(t *testing.T) {
 	}
 }
 
-// TestJournalRestore is the durability contract at the store level: every
-// lifecycle shape — done, permanently failed, cancelled, never-leased
-// pending, and leased-then-crashed — replays from the journal into the
-// state the next boot needs, and compaction preserves it.
-func TestJournalRestore(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.jsonl")
-	logger := slog.New(slog.DiscardHandler)
+// restoreJournal holds the job ids writeRestoreJournal left in each
+// lifecycle shape.
+type restoreJournal struct {
+	done, failed, cancelled, crashed, pending, sweep string
+}
 
-	jnl, recs, err := openJournal(path, logger)
+// restoreJournalPolicy is the retry policy writeRestoreJournal's store ran
+// under; restoring stores must use it too.
+var restoreJournalPolicy = RetryPolicy{MaxAttempts: 2, Jitter: -1}.withDefaults()
+
+// writeRestoreJournal writes a journal at path holding every lifecycle
+// shape — done, permanently failed, cancelled, never-leased pending, and
+// leased-then-crashed — plus a sweep submit record as an older server wrote
+// it, with the since-removed "lanes" field.
+func writeRestoreJournal(tb testing.TB, path string) restoreJournal {
+	tb.Helper()
+	jnl, recs, err := openJournal(path, slog.New(slog.DiscardHandler))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if len(recs) != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(recs))
+		tb.Fatalf("fresh journal replayed %d records", len(recs))
 	}
 	a := newJobStore()
-	a.policy = RetryPolicy{MaxAttempts: 2, Jitter: -1}.withDefaults()
+	a.policy = restoreJournalPolicy
 	a.journal = jnl
+	var ids restoreJournal
 
-	doneID := a.create("fig9", JobRequest{RunRequest: RunRequest{Workers: 1}})
+	ids.done = a.create("fig9", JobRequest{RunRequest: RunRequest{Workers: 1}})
 	lj, _ := a.leaseNext(time.Now(), testCtx)
-	a.finish(doneID, lj.attempt, "cachekey", []byte(`{"answer":42}`), "", false)
+	a.finish(ids.done, lj.attempt, "cachekey", []byte(`{"answer":42}`), "", false)
 
-	failedID := a.create("fig10", JobRequest{})
+	ids.failed = a.create("fig10", JobRequest{})
 	for i := 0; i < 2; i++ {
 		lj, ok := a.leaseNext(time.Now().Add(time.Hour), testCtx)
 		if !ok {
-			t.Fatalf("lease %d of failing job", i)
+			tb.Fatalf("lease %d of failing job", i)
 		}
-		a.finish(failedID, lj.attempt, "", nil, "boom", false)
+		a.finish(ids.failed, lj.attempt, "", nil, "boom", false)
 	}
 
-	cancelledID := a.create("fig9", JobRequest{})
-	a.cancelJob(cancelledID)
+	ids.cancelled = a.create("fig9", JobRequest{})
+	a.cancelJob(ids.cancelled)
 
-	crashedID := a.create("fig9", JobRequest{})
-	if lj, ok := a.leaseNext(time.Now().Add(2*time.Hour), testCtx); !ok || lj.id != crashedID {
-		t.Fatalf("lease of crash job: %+v %v", lj, ok)
+	ids.crashed = a.create("fig9", JobRequest{})
+	if lj, ok := a.leaseNext(time.Now().Add(2*time.Hour), testCtx); !ok || lj.id != ids.crashed {
+		tb.Fatalf("lease of crash job: %+v %v", lj, ok)
 	}
-	pendingID := a.create("defense", JobRequest{})
-	// Crash: nothing more is journaled for crashedID after its lease.
+	ids.pending = a.create("defense", JobRequest{})
+	// Crash: nothing more is journaled for the crashed job after its lease.
 	jnl.close()
+
+	ids.sweep = "j6"
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(`{"t":"submit","job":"j6","at":1792229245426,"kind":"sweep","req":{"sweep":{"rob":[64],"runahead":["none","original"],"workloads":["bwave"],"lanes":4}}}` + "\n"); err != nil {
+		tb.Fatal(err)
+	}
+	return ids
+}
+
+// TestJournalRestore is the durability contract at the store level: every
+// lifecycle shape replays from the journal into the state the next boot
+// needs, an older server's sweep record still restores, and compaction
+// preserves it all.
+func TestJournalRestore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	logger := slog.New(slog.DiscardHandler)
+	ids := writeRestoreJournal(t, path)
 
 	// Reboot: replay, restore, compact, replay again.
 	for round := 0; round < 2; round++ {
@@ -241,51 +270,62 @@ func TestJournalRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := newJobStore()
-		b.policy = a.policy
+		b.policy = restoreJournalPolicy
 		b.restore(recs2, nil)
 
-		v, ok := b.get(doneID)
+		v, ok := b.get(ids.done)
 		if !ok || v.Status != JobDone || string(v.Result) != `{"answer":42}` {
 			t.Fatalf("round %d: done job: %+v %v", round, v, ok)
 		}
-		if v, _ := b.get(failedID); v.Status != JobFailed || v.Error != "boom" {
+		if v, _ := b.get(ids.failed); v.Status != JobFailed || v.Error != "boom" {
 			t.Fatalf("round %d: failed job: %+v", round, v)
 		}
-		if v, _ := b.get(cancelledID); v.Status != JobCancelled {
+		if v, _ := b.get(ids.cancelled); v.Status != JobCancelled {
 			t.Fatalf("round %d: cancelled job: %+v", round, v)
 		}
-		if v, _ := b.get(pendingID); v.Status != JobPending || v.Attempts != 0 {
+		if v, _ := b.get(ids.pending); v.Status != JobPending || v.Attempts != 0 {
 			t.Fatalf("round %d: pending job: %+v", round, v)
 		}
 		// The crashed lease re-queues with its attempt preserved.
-		if v, _ := b.get(crashedID); v.Status != JobPending || v.Attempts != 1 {
+		if v, _ := b.get(ids.crashed); v.Status != JobPending || v.Attempts != 1 {
 			t.Fatalf("round %d: crashed job: %+v", round, v)
 		}
+		// The old sweep record restores as pending work; "lanes" is dropped.
+		if v, _ := b.get(ids.sweep); v.Status != JobPending || v.Kind != "sweep" {
+			t.Fatalf("round %d: sweep job: %+v", round, v)
+		}
 		// Ids continue past the replayed maximum: no reuse after restart.
-		if fresh := b.create("fig9", JobRequest{}); fresh == crashedID || fresh == pendingID {
+		if fresh := b.create("fig9", JobRequest{}); fresh == ids.crashed || fresh == ids.pending || fresh == ids.sweep {
 			t.Fatalf("round %d: id %s reused after restore", round, fresh)
 		}
-		// Done jobs are never re-leased: only the two pendings (plus the
+		// Terminal jobs are never re-leased: only the pendings (plus the
 		// fresh one) are leasable.
-		leased := map[string]bool{}
+		leased := map[string]leasedJob{}
 		for {
 			lj, ok := b.leaseNext(time.Now().Add(24*time.Hour), testCtx)
 			if !ok {
 				break
 			}
-			leased[lj.id] = true
+			leased[lj.id] = lj
 		}
-		if leased[doneID] || leased[failedID] || leased[cancelledID] {
-			t.Fatalf("round %d: re-leased a terminal job: %v", round, leased)
+		for _, id := range []string{ids.done, ids.failed, ids.cancelled} {
+			if _, ok := leased[id]; ok {
+				t.Fatalf("round %d: re-leased terminal job %s", round, id)
+			}
 		}
-		if !leased[pendingID] || !leased[crashedID] {
-			t.Fatalf("round %d: pending work not re-leased: %v", round, leased)
+		for _, id := range []string{ids.pending, ids.crashed, ids.sweep} {
+			if _, ok := leased[id]; !ok {
+				t.Fatalf("round %d: pending job %s not re-leased", round, id)
+			}
+		}
+		if sw := leased[ids.sweep].req.Sweep; sw == nil || len(sw.ROB) != 1 || sw.ROB[0] != 64 || len(sw.Workloads) != 1 {
+			t.Fatalf("round %d: sweep spec not restored: %+v", round, sw)
 		}
 
 		if round == 0 {
 			// Compact and loop: the rewritten journal must restore identically.
 			b2 := newJobStore()
-			b2.policy = a.policy
+			b2.policy = restoreJournalPolicy
 			b2.restore(recs2, nil)
 			if err := jnl2.rewrite(b2.snapshotRecords()); err != nil {
 				t.Fatal(err)
@@ -293,6 +333,48 @@ func TestJournalRestore(t *testing.T) {
 		}
 		jnl2.close()
 	}
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to the journal replay path as the
+// contents of jobs.jsonl.  Replay and restore must never panic, and no job
+// restored as done is ever leased again.
+func FuzzJournalReplay(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "jobs.jsonl")
+	writeRestoreJournal(f, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jnl, recs, err := openJournal(path, slog.New(slog.DiscardHandler))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jnl.close()
+		s := newJobStore()
+		s.policy = restoreJournalPolicy
+		s.restore(recs, nil)
+		done := map[string]bool{}
+		for id, j := range s.jobs {
+			if j.status == JobDone {
+				done[id] = true
+			}
+		}
+		for {
+			lj, ok := s.leaseNext(time.Now().Add(24*time.Hour), testCtx)
+			if !ok {
+				break
+			}
+			lj.cancel()
+			if done[lj.id] {
+				t.Fatalf("job %s restored as done was leased again", lj.id)
+			}
+		}
+	})
 }
 
 // TestJournalTornTail: a kill -9 mid-append leaves a torn final line; the

@@ -301,6 +301,10 @@ func TestSweepEndpoint(t *testing.T) {
 	if code, _, body := do(t, "POST", ts.URL+"/v1/sweep", `{"secrets": [300], "mode": "attack"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad secret: %d %s", code, body)
 	}
+	// The removed lane-batching knob is an unknown field like any other.
+	if code, _, body := do(t, "POST", ts.URL+"/v1/sweep", `{"workloads": ["mcf"], "lanes": 4}`); code != http.StatusBadRequest {
+		t.Fatalf("lanes: %d %s", code, body)
+	}
 }
 
 // pollJob polls a job until it reaches a terminal status.
