@@ -18,7 +18,9 @@ type Segment struct {
 }
 
 // Program is an assembled program: decoded instructions at Base, initialised
-// data segments, and a symbol table.
+// data segments, and a symbol table.  A Program must not change once it is
+// handed to a simulator: machines cache per-instruction state keyed by the
+// *Program and reuse it across resets onto the same program.
 type Program struct {
 	Base     uint64
 	Insts    []isa.Inst

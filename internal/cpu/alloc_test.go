@@ -257,21 +257,77 @@ func TestResetMatchesFresh(t *testing.T) {
 			if err := reused.Run(20_000_000); err != nil {
 				t.Fatalf("reused run: %v", err)
 			}
-			want, _ := json.Marshal(fresh.Stats())
-			got, _ := json.Marshal(reused.Stats())
-			if string(want) != string(got) {
-				t.Errorf("stats diverged after Reset:\nfresh:  %s\nreused: %s", want, got)
+			assertSameRun(t, fresh, reused)
+			// A second Reset onto the same program keeps the predecode
+			// cache; the run must still match the fresh machine.
+			reused.Reset(progB)
+			if err := reused.Run(20_000_000); err != nil {
+				t.Fatalf("same-program rerun: %v", err)
 			}
-			for i := 0; i < isa.NumIntRegs; i++ {
-				if fresh.IntReg(i) != reused.IntReg(i) {
-					t.Errorf("r%d = %#x, want %#x", i, reused.IntReg(i), fresh.IntReg(i))
-				}
-			}
-			if fresh.Cycle() != reused.Cycle() {
-				t.Errorf("cycle = %d, want %d", reused.Cycle(), fresh.Cycle())
-			}
+			assertSameRun(t, fresh, reused)
 		})
 	}
+}
+
+// assertSameRun fails t unless got finished with the same statistics,
+// integer registers and cycle count as want.
+func assertSameRun(t *testing.T, want, got *CPU) {
+	t.Helper()
+	w, _ := json.Marshal(want.Stats())
+	g, _ := json.Marshal(got.Stats())
+	if string(w) != string(g) {
+		t.Errorf("stats diverged after Reset:\nfresh:  %s\nreused: %s", w, g)
+	}
+	for i := 0; i < isa.NumIntRegs; i++ {
+		if want.IntReg(i) != got.IntReg(i) {
+			t.Errorf("r%d = %#x, want %#x", i, got.IntReg(i), want.IntReg(i))
+		}
+	}
+	if want.Cycle() != got.Cycle() {
+		t.Errorf("cycle = %d, want %d", got.Cycle(), want.Cycle())
+	}
+}
+
+// TestResetOtherProgramSameLengthRepredecodes pins the predecode-cache
+// guard: the cache survives only a Reset onto the very program the machine
+// holds, so a different program of the same length is decoded afresh.
+func TestResetOtherProgramSameLengthRepredecodes(t *testing.T) {
+	build := func(op func(b *asm.Builder)) *asm.Program {
+		b := asm.NewBuilder(0x1000, 0x10000)
+		b.Movi(isa.R(1), 5)
+		b.Movi(isa.R(2), 9)
+		op(b)
+		b.Halt()
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	progAdd := build(func(b *asm.Builder) { b.Add(isa.R(3), isa.R(1), isa.R(2)) })
+	progSub := build(func(b *asm.Builder) { b.Sub(isa.R(3), isa.R(1), isa.R(2)) })
+	if len(progAdd.Insts) != len(progSub.Insts) {
+		t.Fatal("test programs must have the same length")
+	}
+	fresh := New(DefaultConfig(), progSub)
+	if err := fresh.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	reused := New(DefaultConfig(), progAdd)
+	if err := reused.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if got := reused.IntReg(3); got != 14 {
+		t.Fatalf("add program: r3 = %d, want 14", got)
+	}
+	reused.Reset(progSub)
+	if err := reused.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reused.IntReg(3), ^uint64(3); got != want { // 5-9 = -4
+		t.Fatalf("sub program after Reset: r3 = %#x, want %#x (stale predecode?)", got, want)
+	}
+	assertSameRun(t, fresh, reused)
 }
 
 // TestDeadlockReportsCycles pins the satellite bugfix: a Run that exits via

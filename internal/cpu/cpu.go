@@ -245,7 +245,9 @@ type CPU struct {
 	// filled lazily the first time a PC is fetched (pd[i].Op == isa.BAD
 	// marks an unfilled slot; BAD never assembles).  Every dynamic instance
 	// shares the template, so fetch/dispatch read flat fields instead of
-	// re-deriving kind/FU/operand metadata per fetch.
+	// re-deriving kind/FU/operand metadata per fetch.  Templates are a pure
+	// function of the instruction, so Reset keeps them when it is handed the
+	// program the machine already holds.
 	pd []isa.Predecoded
 
 	// Back end.  The event-driven scheduler (sched.go, the default) selects
@@ -310,7 +312,9 @@ type CPU struct {
 }
 
 // New builds a CPU running prog.  The program's data segments are loaded
-// into a fresh memory image; fetch starts at prog.Base.
+// into a fresh memory image; fetch starts at prog.Base.  prog must not be
+// modified while a machine holds it: the predecode cache outlives a Reset
+// onto the same program.
 //
 // Every capacity-bounded structure is sized up front: the steady-state tick
 // loop performs no heap allocation, and Reset returns the machine to this
@@ -360,7 +364,8 @@ func New(cfg Config, prog *asm.Program) *CPU {
 // statistics — which the regression tests pin; sweep and difftest workers
 // rely on it to run one machine per worker instead of one per job.
 // Installed observers (SetSampler, SetTracer, SetCommitHook, debug hooks)
-// are kept.
+// are kept, and so are the predecoded templates when prog is the program
+// the machine already holds.
 func (c *CPU) Reset(prog *asm.Program) {
 	// Drain the pipeline back into the pool (stores leave the
 	// disambiguation index first, while their chain nodes are still live).
@@ -390,6 +395,7 @@ func (c *CPU) Reset(prog *asm.Program) {
 	c.replay = c.replay[:0]
 	c.iqUsed, c.lqUsed = 0, 0
 
+	samePD := prog == c.prog && len(c.pd) == len(prog.Insts)
 	c.prog = prog
 	c.memImg.Reset()
 	prog.LoadInto(c.memImg)
@@ -418,10 +424,13 @@ func (c *CPU) Reset(prog *asm.Program) {
 	c.fetchBlocked = false
 	c.lastFetchLine = 0
 
-	if cap(c.pd) >= len(prog.Insts) {
+	switch {
+	case samePD:
+		// Same immutable program: every filled template is still valid.
+	case cap(c.pd) >= len(prog.Insts):
 		c.pd = c.pd[:len(prog.Insts)]
 		clear(c.pd)
-	} else {
+	default:
 		c.pd = make([]isa.Predecoded, len(prog.Insts))
 	}
 

@@ -106,34 +106,29 @@ type SeedResult struct {
 	PerConfig   []ConfigRunStats // aligned with the config set; absent entries errored
 }
 
-// record is one executed/committed instruction in canonical form.
+// record is one executed/committed instruction in canonical form.  It holds
+// typed fields and formats only in String, so capturing a stream costs no
+// allocation per instruction.
 type record struct {
 	pc    uint64
-	op    string
-	dest  string
+	op    isa.Opcode
+	dest  isa.Reg
 	v, v2 uint64
 }
 
+// String renders the record for divergence details.  A dest-less record
+// omits the register clause (isa.Reg.String would print "-" for NoReg).
 func (r record) String() string {
-	if r.dest == "" {
-		return fmt.Sprintf("{pc=%#x %s}", r.pc, r.op)
+	if r.dest == isa.NoReg {
+		return fmt.Sprintf("{pc=%#x %s}", r.pc, r.op.Name())
 	}
-	return fmt.Sprintf("{pc=%#x %s %s=%#x:%#x}", r.pc, r.op, r.dest, r.v, r.v2)
-}
-
-// destString renders a destination register for record comparison: the empty
-// string for NoReg (isa.Reg.String would print "-"), so dest-less
-// instructions format without a bogus register clause.
-func destString(d isa.Reg) string {
-	if d == isa.NoReg {
-		return ""
-	}
-	return d.String()
+	return fmt.Sprintf("{pc=%#x %s %s=%#x:%#x}", r.pc, r.op.Name(), r.dest, r.v, r.v2)
 }
 
 // runnerCache is the per-worker simulator state a differential campaign
 // reuses across seeds: one reference interpreter, one pipeline machine per
-// configuration, and the record buffers.  Rebuilding these per (seed,
+// configuration, and the record buffers (typed records, so a warm cache
+// captures both streams without allocating).  Rebuilding these per (seed,
 // config) dominated campaign allocation — a full-matrix run is
 // seeds × configs machines, each carrying megabytes of cache arrays.
 // CheckSeed draws a cache from a pool bounded by the worker count, so a
@@ -200,7 +195,7 @@ func (rc *runnerCache) refStream(prog *asm.Program) ([]record, *iss.Interp, erro
 		}
 		d := in.Dest()
 		v, v2 := ref.RegValue(d)
-		recs = append(recs, record{pc: pc, op: in.Op.Name(), dest: destString(d), v: v, v2: v2})
+		recs = append(recs, record{pc: pc, op: in.Op, dest: d, v: v, v2: v2})
 		if !cont {
 			return recs, ref, nil
 		}
@@ -225,7 +220,7 @@ func (rc *runnerCache) pipeStream(nc NamedConfig, prog *asm.Program) ([]record, 
 	}
 	recs := rc.pipeRecs[:0]
 	c.SetCommitHook(func(r cpu.CommitRecord) {
-		recs = append(recs, record{pc: r.PC, op: r.Op.Name(), dest: destString(r.Dest), v: r.Val, v2: r.Val2})
+		recs = append(recs, record{pc: r.PC, op: r.Op, dest: r.Dest, v: r.Val, v2: r.Val2})
 	})
 	err := c.Run(cpuBudget)
 	c.SetCommitHook(nil)
@@ -351,7 +346,8 @@ func diffArch(ref *iss.Interp, c *cpu.CPU) string {
 	return strings.Join(diffs, "; ")
 }
 
-// diffMemory compares the program's scratch buffer and stack word-by-word.
+// diffMemory compares the program's scratch buffer and stack, page slice by
+// page slice, and reports the first differing 8-byte word.
 func diffMemory(prog *asm.Program, opt proggen.Options, ref *iss.Interp, c *cpu.CPU) string {
 	opt = opt.WithDefaults() // the geometry Generate actually used
 	for _, region := range []struct {
@@ -362,11 +358,13 @@ func diffMemory(prog *asm.Program, opt proggen.Options, ref *iss.Interp, c *cpu.
 		if !ok {
 			continue
 		}
-		for off := 0; off < region.size; off += 8 {
+		// Whole words, so a size that is not a multiple of 8 still compares
+		// the tail word in full.
+		n := (region.size + 7) &^ 7
+		if off, eq := c.Mem().EqualRange(ref.Mem, base, n); !eq {
 			a := base + uint64(off)
-			if got, want := c.Mem().ReadU64(a), ref.Mem.ReadU64(a); got != want {
-				return fmt.Sprintf("%s[%#x] (addr %#x) = %#x, want %#x", region.sym, off, a, got, want)
-			}
+			return fmt.Sprintf("%s[%#x] (addr %#x) = %#x, want %#x",
+				region.sym, off, a, c.Mem().ReadU64(a), ref.Mem.ReadU64(a))
 		}
 	}
 	return ""

@@ -2,9 +2,13 @@ package difftest
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"specrun/internal/cpu"
+	"specrun/internal/isa"
+	"specrun/internal/iss"
 	"specrun/internal/proggen"
 	"specrun/internal/runahead"
 	"specrun/internal/sweep"
@@ -95,8 +99,8 @@ func TestRunaheadOffStreamEqualsBaseline(t *testing.T) {
 }
 
 func TestDiffStreamsReportsFirstMismatch(t *testing.T) {
-	a := []record{{pc: 0x1000, op: "add", dest: "r1", v: 1}, {pc: 0x1004, op: "sub", dest: "r2", v: 2}}
-	b := []record{{pc: 0x1000, op: "add", dest: "r1", v: 1}, {pc: 0x1004, op: "sub", dest: "r2", v: 3}}
+	a := []record{{pc: 0x1000, op: isa.ADD, dest: isa.R(1), v: 1}, {pc: 0x1004, op: isa.SUB, dest: isa.R(2), v: 2}}
+	b := []record{{pc: 0x1000, op: isa.ADD, dest: isa.R(1), v: 1}, {pc: 0x1004, op: isa.SUB, dest: isa.R(2), v: 3}}
 	if d := diffStreams(a, a); d != "" {
 		t.Fatalf("identical streams diverged: %s", d)
 	}
@@ -105,6 +109,59 @@ func TestDiffStreamsReportsFirstMismatch(t *testing.T) {
 	}
 	if d := diffStreams(a, a[:1]); d == "" {
 		t.Fatal("length mismatch not detected")
+	}
+}
+
+// TestDiffMemoryReportsFirstWord pins the final-memory message: the first
+// differing 8-byte word of the first differing region, by offset from the
+// region's symbol.
+func TestDiffMemoryReportsFirstWord(t *testing.T) {
+	opt := proggen.DefaultOptions()
+	prog := proggen.Generate(3, opt)
+	ref, c := iss.New(prog), cpu.New(cpu.DefaultConfig(), prog)
+	if d := diffMemory(prog, opt, ref, c); d != "" {
+		t.Fatalf("freshly loaded images differ: %s", d)
+	}
+	buf, stack := prog.MustSym("buf"), prog.MustSym("stack")
+	c.Mem().SetByte(stack+0x3f, 1)
+	if d, want := diffMemory(prog, opt, ref, c),
+		fmt.Sprintf("stack[0x38] (addr %#x) = 0x100000000000000, want 0x0", stack+0x38); d != want {
+		t.Fatalf("diffMemory = %q, want %q", d, want)
+	}
+	// buf holds generated data: flip bytes in two words, one per side.
+	c.Mem().SetByte(buf+0x13, ^c.Mem().ByteAt(buf+0x13))
+	ref.Mem.SetByte(buf+0x2a, ^ref.Mem.ByteAt(buf+0x2a))
+	got, wantV := c.Mem().ReadU64(buf+0x10), ref.Mem.ReadU64(buf+0x10)
+	if got == wantV {
+		t.Fatal("poke did not change the word")
+	}
+	if d, want := diffMemory(prog, opt, ref, c),
+		fmt.Sprintf("buf[0x10] (addr %#x) = %#x, want %#x", buf+0x10, got, wantV); d != want {
+		t.Fatalf("diffMemory = %q, want %q", d, want)
+	}
+}
+
+// TestRecordString pins the divergence-detail rendering of commit records
+// byte for byte: records are typed, and formatting happens only here.
+func TestRecordString(t *testing.T) {
+	for _, tc := range []struct {
+		r    record
+		want string
+	}{
+		{record{pc: 0x1004, op: isa.HALT}, "{pc=0x1004 halt}"},
+		{record{pc: 0x1000, op: isa.ADD, dest: isa.R(1), v: 1}, "{pc=0x1000 add r1=0x1:0x0}"},
+		{record{pc: 0x1010, op: isa.FADD, dest: isa.F(3), v: 0x4000000000000000}, "{pc=0x1010 fadd f3=0x4000000000000000:0x0}"},
+		{record{pc: 0x2000, op: isa.VLD, dest: isa.V(15), v: 0xff, v2: 0xab}, "{pc=0x2000 vld v15=0xff:0xab}"},
+	} {
+		if got := tc.r.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+	a := []record{{pc: 0x1000, op: isa.ADD, dest: isa.R(1), v: 1}}
+	b := []record{{pc: 0x1000, op: isa.ADD, dest: isa.R(1), v: 2}}
+	want := "commit 0: pipeline {pc=0x1000 add r1=0x2:0x0}, reference {pc=0x1000 add r1=0x1:0x0}"
+	if got := diffStreams(a, b); got != want {
+		t.Errorf("diffStreams = %q, want %q", got, want)
 	}
 }
 

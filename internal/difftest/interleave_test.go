@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"specrun/internal/isa"
 	"specrun/internal/proggen"
 	"specrun/internal/sweep"
 )
@@ -45,8 +46,8 @@ func TestInterleaveCampaign(t *testing.T) {
 // The oracle must actually detect leaks: snapshots that differ in any
 // compared dimension produce a state_leak divergence description.
 func TestInterleaveDetectsDifferences(t *testing.T) {
-	a := machineSnapshot{recs: []record{{pc: 0x40, op: "add", dest: "r1", v: 1}}}
-	b := machineSnapshot{recs: []record{{pc: 0x40, op: "add", dest: "r1", v: 2}}}
+	a := machineSnapshot{recs: []record{{pc: 0x40, op: isa.ADD, dest: isa.R(1), v: 1}}}
+	b := machineSnapshot{recs: []record{{pc: 0x40, op: isa.ADD, dest: isa.R(1), v: 2}}}
 	if d := diffSnapshots(a, b); !strings.Contains(d, "commit stream") {
 		t.Fatalf("stream diff not detected: %q", d)
 	}

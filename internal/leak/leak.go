@@ -414,11 +414,7 @@ func Valuations(n int) (a, b []byte) {
 // PokeBytes returns a poke writing val at addr (functional memory only — no
 // timing effect, exactly like a victim holding a different secret).
 func PokeBytes(addr uint64, val []byte) func(*mem.Memory) {
-	return func(m *mem.Memory) {
-		for i, x := range val {
-			m.SetByte(addr+uint64(i), x)
-		}
-	}
+	return func(m *mem.Memory) { m.SetBytes(addr, val) }
 }
 
 // SeedResult is the outcome of checking one generated seed.

@@ -11,7 +11,10 @@
 // SPECRUN exploits.
 package mem
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 const pageSize = 1 << 12
 
@@ -71,20 +74,18 @@ func (m *Memory) SetByte(addr uint64, b byte) {
 }
 
 // Read returns size bytes starting at addr as a little-endian integer.
-// size must be 1..8.
+// size must be 1..8.  Reading never allocates a page.
 func (m *Memory) Read(addr uint64, size int) uint64 {
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
-	}
-	return v
+	var b [8]byte
+	m.copyOut(b[:size], addr)
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Write stores the low size bytes of v at addr, little-endian.
 func (m *Memory) Write(addr uint64, size int, v uint64) {
-	for i := 0; i < size; i++ {
-		m.SetByte(addr+uint64(i), byte(v>>(8*i)))
-	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	m.copyIn(addr, b[:size])
 }
 
 // ReadU64 reads a 64-bit little-endian word.
@@ -94,18 +95,12 @@ func (m *Memory) ReadU64(addr uint64) uint64 { return m.Read(addr, 8) }
 func (m *Memory) WriteU64(addr uint64, v uint64) { m.Write(addr, 8, v) }
 
 // SetBytes copies b into memory starting at addr.
-func (m *Memory) SetBytes(addr uint64, b []byte) {
-	for i, c := range b {
-		m.SetByte(addr+uint64(i), c)
-	}
-}
+func (m *Memory) SetBytes(addr uint64, b []byte) { m.copyIn(addr, b) }
 
 // ReadBytes copies n bytes starting at addr into a fresh slice.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = m.ByteAt(addr + uint64(i))
-	}
+	m.copyOut(b, addr)
 	return b
 }
 
@@ -118,7 +113,68 @@ func (m *Memory) ReadU64Slice(addr uint64, n int) []uint64 {
 	return out
 }
 
+// EqualRange reports whether the n bytes starting at addr hold the same
+// values in m and o.  An absent page compares as all zero, so a page that
+// was never written equals an allocated page of zeros.  When the ranges
+// differ, firstDiffOff is the offset from addr of the first differing
+// 8-byte word (words are counted from addr); when they are equal it is 0.
+func (m *Memory) EqualRange(o *Memory, addr uint64, n int) (firstDiffOff int, equal bool) {
+	for done := 0; done < n; {
+		a := addr + uint64(done)
+		k := min(pageSize-int(a%pageSize), n-done)
+		x, y := m.span(a, k), o.span(a, k)
+		if !bytes.Equal(x, y) {
+			i := 0
+			for x[i] == y[i] {
+				i++
+			}
+			return (done + i) &^ 7, false
+		}
+		done += k
+	}
+	return 0, true
+}
+
+// zeroPage stands in for absent pages in EqualRange.
+var zeroPage page
+
+// span returns the k bytes at addr, which must not cross a page boundary,
+// reading an absent page as zeros.
+func (m *Memory) span(addr uint64, k int) []byte {
+	p := m.pageFor(addr, false)
+	if p == nil {
+		p = &zeroPage
+	}
+	off := addr % pageSize
+	return p[off : off+uint64(k)]
+}
+
+// copyOut fills dst from memory starting at addr, one page lookup per page
+// spanned.  Absent pages read as zero and are not allocated.
+func (m *Memory) copyOut(dst []byte, addr uint64) {
+	for len(dst) > 0 {
+		off := addr % pageSize
+		var k int
+		if p := m.pageFor(addr, false); p != nil {
+			k = copy(dst, p[off:])
+		} else {
+			k = min(len(dst), int(pageSize-off))
+			clear(dst[:k])
+		}
+		dst = dst[k:]
+		addr += uint64(k)
+	}
+}
+
+// copyIn stores src into memory starting at addr, one page lookup per page
+// spanned.
+func (m *Memory) copyIn(addr uint64, src []byte) {
+	for len(src) > 0 {
+		k := copy(m.pageFor(addr, true)[addr%pageSize:], src)
+		src = src[k:]
+		addr += uint64(k)
+	}
+}
+
 // Footprint reports the number of allocated pages (for tests).
 func (m *Memory) Footprint() int { return len(m.pages) }
-
-var _ = binary.LittleEndian // documents the byte order used throughout

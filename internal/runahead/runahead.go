@@ -102,20 +102,31 @@ func DefaultConfig() Config {
 // PC is already in a slice marks the producers of its own sources.  Over a
 // few loop iterations this transitively closes over the address back-slice.
 type RDT struct {
-	slice      map[uint64]bool
-	lastWriter map[isa.Reg]uint64 // arch reg -> PC of the most recent committed writer
+	slice map[uint64]bool
+	// lastWriter[regSlot(r)] is the PC of the most recent committed writer
+	// of arch register r; it is meaningful only where the matching bit of
+	// written is set, so Reset clears the mask rather than the table.
+	lastWriter [rdtSlots]uint64
+	written    [rdtSlots / 64]uint64
 }
+
+// rdtSlots covers every register class (ClassNone included, so the class
+// indexes directly) times the largest register file.
+const rdtSlots = 4 * isa.NumIntRegs
+
+// regSlot maps a valid architectural register to its lastWriter index.
+func regSlot(r isa.Reg) int { return int(r.Class())*isa.NumIntRegs + r.Idx() }
 
 // NewRDT returns an empty table.
 func NewRDT() *RDT {
-	return &RDT{slice: make(map[uint64]bool), lastWriter: make(map[isa.Reg]uint64)}
+	return &RDT{slice: make(map[uint64]bool)}
 }
 
-// Reset empties the table (machine reuse).  The map storage is retained, so
-// re-learning a program of similar shape allocates nothing.
+// Reset empties the table (machine reuse).  The slice map's storage is
+// retained, so re-learning a program of similar shape allocates nothing.
 func (r *RDT) Reset() {
 	clear(r.slice)
-	clear(r.lastWriter)
+	r.written = [rdtSlots / 64]uint64{}
 }
 
 // InSlice reports whether the instruction at pc belongs to a stall slice.
@@ -140,17 +151,19 @@ func (r *RDT) ObserveCommit(pc uint64, in isa.Inst) {
 			r.markProducer(s)
 		}
 	}
-	if d := in.Dest(); d != isa.NoReg && !d.IsZero() {
-		r.lastWriter[d] = pc
+	if d := in.Dest(); d.Valid() && !d.IsZero() {
+		i := regSlot(d)
+		r.lastWriter[i] = pc
+		r.written[i/64] |= 1 << (i % 64)
 	}
 }
 
 func (r *RDT) markProducer(reg isa.Reg) {
-	if reg == isa.NoReg || reg.IsZero() {
+	if !reg.Valid() || reg.IsZero() {
 		return
 	}
-	if pc, ok := r.lastWriter[reg]; ok {
-		r.slice[pc] = true
+	if i := regSlot(reg); r.written[i/64]&(1<<(i%64)) != 0 {
+		r.slice[r.lastWriter[i]] = true
 	}
 }
 

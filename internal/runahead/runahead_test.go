@@ -81,6 +81,23 @@ func TestRDTIgnoresZeroRegister(t *testing.T) {
 	}
 }
 
+// Last writers are tracked per register class, and Reset forgets them: a
+// load after Reset must not mark a producer committed before it.
+func TestRDTClassesAndReset(t *testing.T) {
+	r := NewRDT()
+	r.ObserveCommit(100, isa.Inst{Op: isa.MOVI, Rd: isa.R(2), Imm: 1})
+	r.ObserveCommit(104, isa.Inst{Op: isa.FADD, Rd: isa.F(2), Rs1: isa.F(0), Rs2: isa.F(1)})
+	r.ObserveCommit(108, isa.Inst{Op: isa.LD, Rd: isa.R(6), Rs1: isa.R(2)})
+	if !r.InSlice(100) || r.InSlice(104) || r.Len() != 1 {
+		t.Fatalf("slice = {100:%v 104:%v} len %d, want only the r2 writer", r.InSlice(100), r.InSlice(104), r.Len())
+	}
+	r.Reset()
+	r.ObserveCommit(108, isa.Inst{Op: isa.LD, Rd: isa.R(6), Rs1: isa.R(2)})
+	if r.Len() != 0 {
+		t.Fatalf("slice after Reset has %d entries, want 0", r.Len())
+	}
+}
+
 func TestStrideDetector(t *testing.T) {
 	d := NewStrideDetector()
 	pc := uint64(0x100)
