@@ -353,4 +353,12 @@ func TestDeadlockReportsCycles(t *testing.T) {
 	if c.Stats().IPC() == 0 {
 		t.Fatal("IPC() = 0 on a deadlocked run that committed instructions")
 	}
+	// The idle skip jumps straight to the watchdog's cycle; the polling
+	// reference, which steps every cycle, must report the same one.
+	ref := New(DefaultConfig(), prog)
+	ref.SetPollingReference(true)
+	refErr := ref.Run(10_000_000)
+	if refErr == nil || refErr.Error() != err.Error() || ref.Cycle() != c.Cycle() {
+		t.Fatalf("deadlock at cycle %d (%v), polling reference at cycle %d (%v)", c.Cycle(), err, ref.Cycle(), refErr)
+	}
 }

@@ -61,14 +61,28 @@ func (c *CPU) commitPhase(now uint64) {
 // would discard in-flight work the baseline machine keeps, turning runahead
 // into a net loss on windows that still have room.
 func (c *CPU) maybeEnterRunahead(u *uop, now uint64) {
-	if c.mode != ModeNormal || c.cfg.Runahead.Kind == runahead.KindNone {
+	if !c.runaheadDue(u, now) {
 		return
+	}
+	if u.pc != c.raReentryPC {
+		c.raReentryPC, c.raReentries = u.pc, 0
+	}
+	c.raReentries++
+	c.enterRunahead(u, now)
+}
+
+// runaheadDue reports whether the blocked ROB head u triggers runahead entry
+// at cycle now, re-entry cap included.  It changes no state, so the idle
+// check can ask it too.
+func (c *CPU) runaheadDue(u *uop, now uint64) bool {
+	if c.mode != ModeNormal || c.cfg.Runahead.Kind == runahead.KindNone {
+		return false
 	}
 	if !u.isLoad() || u.stage != stIssued || u.doneAt <= now {
-		return
+		return false
 	}
 	if mem.Level(u.missLevel) < c.cfg.Runahead.TriggerLevel {
-		return
+		return false
 	}
 	// "Halted" means dispatch made no progress last cycle — the window or a
 	// backend resource (ROB, IQ, LQ/SQ, physical registers) has filled, or
@@ -76,15 +90,9 @@ func (c *CPU) maybeEnterRunahead(u *uop, now uint64) {
 	halted := c.dispatchedPrev == 0 &&
 		(c.frontQ.len() > 0 || c.fetchBlocked || now < c.fetchStallUntil)
 	if !c.rob.full() && !halted {
-		return
+		return false
 	}
-	if u.pc != c.raReentryPC {
-		c.raReentryPC, c.raReentries = u.pc, 0
-	} else if c.raReentries >= maxRunaheadReentries {
-		return
-	}
-	c.raReentries++
-	c.enterRunahead(u, now)
+	return u.pc != c.raReentryPC || c.raReentries < maxRunaheadReentries
 }
 
 // maxRunaheadReentries caps back-to-back runahead entries on the same
@@ -203,10 +211,16 @@ func (c *CPU) retire(u *uop, now uint64) {
 		c.bp.CommitRet()
 	}
 
-	// Learning structures for the precise and vector runahead variants.
-	c.rdt.ObserveCommit(u.pc, u.inst)
-	if pd.Kind == isa.KindLoad && u.addrValid {
-		c.strides.Observe(u.pc, u.addr)
+	// Learning structures, fed only for the variant that reads them: the
+	// RDT drives precise runahead's dispatch filter, the strides vector
+	// runahead's prefetches.
+	switch c.cfg.Runahead.Kind {
+	case runahead.KindPrecise:
+		c.rdt.ObserveCommit(u.pc, u.inst)
+	case runahead.KindVector:
+		if pd.Kind == isa.KindLoad && u.addrValid {
+			c.strides.Observe(u.pc, u.addr)
+		}
 	}
 
 	if c.commitFn != nil {

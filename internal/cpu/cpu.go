@@ -256,6 +256,13 @@ type CPU struct {
 	// slices it rescans every cycle.  Both share the ROB and in-flight list.
 	rob      *uopRing
 	inflight []*uop // issued, awaiting completion; age-ordered under the event scheduler
+	// nextDone is no later than the earliest doneAt in inflight (event
+	// scheduler only): writeback recomputes it as it compacts the list and
+	// issue lowers it.  A store-data wakeup in writeback moves only a store
+	// younger than its producer, which the same age-ordered scan reaches
+	// afterwards.  It may run early — a squash does not raise it — which
+	// costs the idle check a skip, never a cycle.
+	nextDone uint64
 
 	ready        []*uop // operand-ready uops awaiting select, age-ordered
 	replay       []*uop // ready uops blocked on a non-operand condition (uop.replayWhy)
@@ -329,7 +336,7 @@ func New(cfg Config, prog *asm.Program) *CPU {
 		hier:         mem.NewHierarchy(cfg.Mem),
 		bp:           branch.New(cfg.Branch),
 		raCache:      mem.NewRunaheadCache(cfg.Runahead.RunaheadCacheBytes),
-		rdt:          runahead.NewRDT(),
+		rdt:          runahead.NewRDT(prog.Base, len(prog.Insts)),
 		strides:      runahead.NewStrideDetector(),
 		sl:           secure.NewSLCache(cfg.Secure.SLEntries),
 		scopeEpoch:   1,
@@ -391,6 +398,7 @@ func (c *CPU) Reset(prog *asm.Program) {
 	c.lq = c.lq[:0]
 	c.sq = c.sq[:0]
 	c.inflight = c.inflight[:0]
+	c.nextDone = 0
 	c.ready = c.ready[:0]
 	c.replay = c.replay[:0]
 	c.iqUsed, c.lqUsed = 0, 0
@@ -402,7 +410,7 @@ func (c *CPU) Reset(prog *asm.Program) {
 	c.hier.Reset()
 	c.bp.Reset()
 	c.raCache.Reset()
-	c.rdt.Reset()
+	c.rdt.Reset(prog.Base, len(prog.Insts))
 	c.strides.Reset()
 	c.sl.Reset()
 	if c.tracker != nil {
@@ -490,7 +498,9 @@ func (c *CPU) Mode() Mode { return c.mode }
 // declares a deadlock.  Progress is a retirement or pseudo-retirement, and
 // also a runahead entry or exit, so the watchdog alone would never stop a
 // load that keeps re-entering runahead; maxRunaheadReentries bounds that
-// case instead.
+// case instead.  Run's idle skip never jumps past the cycle at which the
+// watchdog would fire, so a deadlock reports the same cycle it would if
+// every cycle were stepped.
 const progressWindow = 200_000
 
 // simCycles is the process-wide count of cycles simulated by every Run call
@@ -506,6 +516,17 @@ func SimCyclesTotal() uint64 { return simCycles.Load() }
 // Stats.Cycles is brought up to date on every exit path, including the
 // deadlock one — callers inspecting IPC() after an error see the cycles the
 // machine actually burned, not a stale count from a previous Run call.
+//
+// Cycles in which no pipeline phase can act — everything waits on a
+// completion, a fetch stall, a front-end delay or a runahead exit (see
+// idleUntil) — are not stepped one by one: Run jumps the clock to the next
+// cycle at which something can happen, never past maxCycles or the deadlock
+// watchdog, and accounts the skipped cycles in bulk (RunaheadCycles,
+// ROBFullCycles, the stall-window high-water mark and one sampler tick per
+// multiple of the sampling interval).  Stats, commit streams, samples and
+// traces are the same as stepping every cycle; the polling reference
+// scheduler (SetPollingReference) deliberately still steps every cycle, so
+// the scheduler equivalence suite checks the skip too.
 func (c *CPU) Run(maxCycles uint64) error {
 	start := c.cycle
 	err := c.run(maxCycles)
@@ -516,7 +537,11 @@ func (c *CPU) Run(maxCycles uint64) error {
 func (c *CPU) run(maxCycles uint64) error {
 	limit := c.cycle + maxCycles
 	for !c.halted && c.cycle < limit {
-		c.step()
+		if next := c.skipTarget(limit); next > c.cycle {
+			c.skipTo(next)
+		} else {
+			c.step()
+		}
 		if c.cycle-c.lastProgress > progressWindow {
 			c.stats.Cycles = c.cycle
 			return fmt.Errorf("%w at cycle %d (pc %#x, mode %d)", ErrDeadlock, c.cycle, c.fetchPC, c.mode)

@@ -12,54 +12,29 @@ import (
 func (c *CPU) dispatchPhase(now uint64) {
 	for n := 0; n < c.cfg.DispatchWidth && c.frontQ.len() > 0; n++ {
 		u := c.frontQ.front()
-		if u.dispatchable > now {
+		if u.dispatchable > now || c.dispatchBlocked(u) {
 			return
 		}
-		if c.rob.full() {
+		k := u.pd.Kind
+
+		// During runahead mode a FENCE is a speculation barrier: the machine
+		// does not pre-execute past it (prefetching loads across a memory
+		// fence would violate its ordering intent), so runahead stops here
+		// until the episode ends.
+		if k == isa.KindFence && c.mode == ModeRunahead {
+			c.ra.fetchBarrier = true
+			c.fetchBlocked = true
 			return
 		}
-		pd := u.pd
-		k := pd.Kind
 
-		// FENCE serialises: it dispatches only into an empty ROB.  During
-		// runahead mode a fence is a speculation barrier instead: the
-		// machine does not pre-execute past it (prefetching loads across a
-		// memory fence would violate its ordering intent), so runahead
-		// stops here until the episode ends.
-		if k == isa.KindFence {
-			if c.mode == ModeRunahead {
-				c.ra.fetchBarrier = true
-				c.fetchBlocked = true
-				return
-			}
-			if !c.rob.empty() {
-				return
-			}
-		}
-
-		// Precise runahead: non-slice compute is dropped at dispatch and its
-		// destination poisoned; loads, stores and control always execute.
-		if c.mode == ModeRunahead && c.cfg.Runahead.Kind == runahead.KindPrecise &&
-			k == isa.KindALU && !pd.Serializing && !c.rdt.InSlice(u.pc) {
+		if c.dropsPRE(u) {
 			c.frontQ.popFront()
 			c.dropPRE(u, now)
 			continue
 		}
 
-		needIQ := !(k == isa.KindNop || k == isa.KindFence || k == isa.KindHalt)
-		if needIQ && c.iqLen() >= c.cfg.IQSize {
-			return
-		}
-		if u.isLoad() && c.lqLen() >= c.cfg.LQSize {
-			return
-		}
-		if u.isStore() && c.sqLen() >= c.cfg.SQSize {
-			return
-		}
-		if !c.claimPRF(u) {
-			return
-		}
-
+		needIQ := needsIQ(k)
+		c.claimPRF(u)
 		c.rename(u)
 		c.rob.push(u)
 		c.frontQ.popFront()
@@ -107,6 +82,43 @@ func (c *CPU) dispatchPhase(now uint64) {
 			}
 		}
 	}
+}
+
+// dispatchBlocked reports whether u, the oldest fetch-buffer uop, is held
+// back by a resource that only a commit or an issue frees: a full ROB, a
+// FENCE waiting for the ROB to drain (FENCE serialises: in normal mode it
+// dispatches only into an empty ROB), or a full IQ, LQ, SQ or physical
+// register file.  A runahead-mode FENCE and a precise-runahead drop are not
+// resource stalls; dispatchPhase acts on them.  It changes no state, so the
+// idle check can ask it too.
+func (c *CPU) dispatchBlocked(u *uop) bool {
+	k := u.pd.Kind
+	switch {
+	case c.rob.full():
+		return true
+	case k == isa.KindFence:
+		return c.mode == ModeNormal && !c.rob.empty()
+	case c.dropsPRE(u):
+		return false
+	}
+	return needsIQ(k) && c.iqLen() >= c.cfg.IQSize ||
+		u.isLoad() && c.lqLen() >= c.cfg.LQSize ||
+		u.isStore() && c.sqLen() >= c.cfg.SQSize ||
+		!c.prfFree(u)
+}
+
+// dropsPRE reports whether precise runahead drops u at dispatch: non-slice
+// compute is dropped and its destination poisoned; loads, stores and
+// control always execute.
+func (c *CPU) dropsPRE(u *uop) bool {
+	return c.mode == ModeRunahead && c.cfg.Runahead.Kind == runahead.KindPrecise &&
+		u.pd.Kind == isa.KindALU && !u.pd.Serializing && !c.rdt.InSlice(u.pc)
+}
+
+// needsIQ reports whether uops of kind k wait in the issue queue; NOP,
+// FENCE and HALT complete at dispatch without backend resources.
+func needsIQ(k isa.Kind) bool {
+	return !(k == isa.KindNop || k == isa.KindFence || k == isa.KindHalt)
 }
 
 // iqLen/lqLen/sqLen report backend queue occupancy under whichever scheduler
@@ -203,34 +215,39 @@ func (c *CPU) dropPRE(u *uop, now uint64) {
 	}
 }
 
-// claimPRF reserves a physical register for the uop's destination, modelling
-// the Table 1 rename resources (80 int / 40 fp / 40 xmm; the architectural
-// registers are subtracted as permanently allocated).
-func (c *CPU) claimPRF(u *uop) bool {
+// prfFree reports whether a physical register is free for the uop's
+// destination, modelling the Table 1 rename resources (80 int / 40 fp /
+// 40 xmm; the architectural registers are subtracted as permanently
+// allocated).
+func (c *CPU) prfFree(u *uop) bool {
+	switch u.pd.DestClass {
+	case isa.ClassInt:
+		return u.pd.Dest.IsZero() || c.intPRFUsed < c.cfg.IntPRF-isa.NumIntRegs
+	case isa.ClassFP:
+		return c.fpPRFUsed < c.cfg.FPPRF-isa.NumFPRegs
+	case isa.ClassVec:
+		return c.vecPRFUsed < c.cfg.VecPRF-isa.NumVecRegs
+	}
+	return true
+}
+
+// claimPRF reserves the physical register prfFree found for the uop's
+// destination.
+func (c *CPU) claimPRF(u *uop) {
 	switch u.pd.DestClass {
 	case isa.ClassInt:
 		if u.pd.Dest.IsZero() {
-			return true
-		}
-		if c.intPRFUsed >= c.cfg.IntPRF-isa.NumIntRegs {
-			return false
+			return
 		}
 		c.intPRFUsed++
 	case isa.ClassFP:
-		if c.fpPRFUsed >= c.cfg.FPPRF-isa.NumFPRegs {
-			return false
-		}
 		c.fpPRFUsed++
 	case isa.ClassVec:
-		if c.vecPRFUsed >= c.cfg.VecPRF-isa.NumVecRegs {
-			return false
-		}
 		c.vecPRFUsed++
 	default:
-		return true
+		return
 	}
 	u.prfClaimed = true
-	return true
 }
 
 func (c *CPU) releasePRF(u *uop) {

@@ -98,6 +98,7 @@ func (c *CPU) issuePhase(now uint64) {
 			c.iqUsed--
 		}
 		c.inflight = insertBySeq(c.inflight, u)
+		c.nextDone = min(c.nextDone, u.doneAt)
 		if u.isStore() && u.addrValid {
 			c.sqLink(u)
 			if u.seq == c.sqUnknown {
@@ -144,12 +145,14 @@ func (c *CPU) mergeReplay() {
 //
 // The in-flight list is kept age-ordered by insertion (issue inserts by
 // seq), so oldest-first processing needs no per-cycle sort, and recoveries
-// mid-scan only ever squash entries not yet reached.
+// mid-scan only ever squash entries not yet reached.  The compaction also
+// records the earliest pending completion in nextDone for the idle check.
 func (c *CPU) writebackPhase(now uint64) {
 	if c.pollSched {
 		c.writebackPhasePoll(now)
 		return
 	}
+	c.nextDone = ^uint64(0)
 	if len(c.inflight) == 0 {
 		return
 	}
@@ -169,6 +172,7 @@ func (c *CPU) writebackPhase(now uint64) {
 		}
 		if u.doneAt > now {
 			out = append(out, u)
+			c.nextDone = min(c.nextDone, u.doneAt)
 			continue
 		}
 		u.stage = stDone

@@ -12,6 +12,11 @@ import "specrun/internal/isa"
 // identical Stats and commit streams cycle for cycle; any divergence is a
 // bug in the event-driven bookkeeping.
 //
+// A polling-reference machine also steps every cycle: Run's idle skip
+// (sched_skip.go) is off for it on purpose, so the same suite is the skip's
+// oracle — a jump over a cycle in which some phase could have acted, or a
+// skipped cycle accounted wrongly, shows up as a divergence.
+//
 // SetPollingReference selects it.  It exists for differential testing and
 // costs the hot loop nothing when disabled (one branch per phase).
 

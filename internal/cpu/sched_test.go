@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"specrun/internal/asm"
+	"specrun/internal/mem"
 	"specrun/internal/proggen"
 	"specrun/internal/runahead"
 )
@@ -15,8 +16,10 @@ import (
 // The event-driven scheduler (sched.go) must be cycle-for-cycle identical to
 // the polling reference (sched_poll.go): same Stats (including Cycles,
 // Issued, LoadBlockedSQ and SLWaits, which count per-cycle attempts), same
-// committed instruction stream.  Any divergence is a wakeup/index
-// bookkeeping bug.
+// committed instruction stream.  Only the event-driven machine takes Run's
+// idle skip (sched_skip.go); the reference steps every cycle.  Any
+// divergence is a wakeup/index bookkeeping bug or a skip over a cycle that
+// was not idle.
 
 // runBoth executes prog under both schedulers and returns (event, poll)
 // machines plus their commit streams.
@@ -65,15 +68,33 @@ func equivalenceConfigs() map[string]Config {
 	skipinv.Runahead.SkipINVBranch = true
 	vector := DefaultConfig()
 	vector.Runahead.Kind = runahead.KindVector
+	precise := DefaultConfig()
+	precise.Runahead.Kind = runahead.KindPrecise
 	baseline := DefaultConfig()
 	baseline.Runahead.Kind = runahead.KindNone
+	// tiny-l2 is the difftest matrix's starved machine: a 32-entry window,
+	// caches small enough to thrash, and runahead entry on L2 misses, which
+	// are served faster than an episode costs.  On reentryCapSeeds loads keep
+	// re-entering until maxRunaheadReentries stops them, the regime the
+	// idle skip's runahead-entry check must get right.
+	tinyL2 := DefaultConfig()
+	tinyL2.ROBSize, tinyL2.IQSize, tinyL2.LQSize, tinyL2.SQSize = 32, 8, 6, 6
+	tinyL2.IntPRF, tinyL2.FPPRF, tinyL2.VecPRF = 48, 24, 24
+	tinyL2.FrontQ = 4
+	tinyL2.Mem.L1I = mem.CacheConfig{Name: "L1I", Size: 4 << 10, Assoc: 2, Latency: 2}
+	tinyL2.Mem.L1D = mem.CacheConfig{Name: "L1D", Size: 4 << 10, Assoc: 2, Latency: 2}
+	tinyL2.Mem.L2 = mem.CacheConfig{Name: "L2", Size: 16 << 10, Assoc: 4, Latency: 8}
+	tinyL2.Mem.L3 = mem.CacheConfig{Name: "L3", Size: 64 << 10, Assoc: 8, Latency: 32}
+	tinyL2.Runahead.TriggerLevel = mem.LevelL2
 	return map[string]Config{
 		"default":  DefaultConfig(),
 		"baseline": baseline,
 		"tiny":     tiny,
+		"tiny-l2":  tinyL2,
 		"secure":   secure,
 		"skipinv":  skipinv,
 		"vector":   vector,
+		"precise":  precise,
 	}
 }
 
@@ -90,6 +111,35 @@ func TestSchedulerEquivalenceRandomPrograms(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// reentryCapSeeds are leak-campaign programs (proggen with a 64-byte secret
+// region) on which tiny-l2 hits maxRunaheadReentries; without the cap they
+// livelock in runahead.
+var reentryCapSeeds = []int64{7006747, 16004922, 18004863}
+
+func reentryCapProgram(seed int64) *asm.Program {
+	opt := proggen.DefaultOptions()
+	opt.SecretBytes = 64
+	return proggen.Generate(seed, opt)
+}
+
+// The re-entry cap must engage identically under both schedulers.
+func TestSchedulerEquivalenceReentryCap(t *testing.T) {
+	cfg := equivalenceConfigs()["tiny-l2"]
+	for _, seed := range reentryCapSeeds {
+		prog := reentryCapProgram(seed)
+		ev, po, er, pr := runBothScheds(t, cfg, prog, 20_000_000)
+		assertEquivalent(t, ev, po, er, pr)
+		c, capped := New(cfg, prog), false
+		for !c.Halted() && c.cycle < 1_000_000 {
+			c.step()
+			capped = capped || c.raReentries >= maxRunaheadReentries
+		}
+		if !capped {
+			t.Errorf("seed %d: the re-entry cap never engaged; the test lost its coverage", seed)
+		}
 	}
 }
 

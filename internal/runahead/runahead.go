@@ -12,6 +12,7 @@ package runahead
 
 import (
 	"fmt"
+	"math/bits"
 
 	"specrun/internal/isa"
 	"specrun/internal/mem"
@@ -101,8 +102,14 @@ func DefaultConfig() Config {
 // producers of its address registers, and every committed instruction whose
 // PC is already in a slice marks the producers of its own sources.  Over a
 // few loop iterations this transitively closes over the address back-slice.
+//
+// Slice membership is a bitset indexed by instruction slot, sized for the
+// program text [base, base+n*isa.InstBytes) given to NewRDT or Reset.  Only
+// instructions of that text can join a slice; any other PC reads as outside.
 type RDT struct {
-	slice map[uint64]bool
+	base  uint64
+	n     uint64   // instruction slots covered by slice
+	slice []uint64 // bit i set = the instruction at base+i*InstBytes is in a slice
 	// lastWriter[regSlot(r)] is the PC of the most recent committed writer
 	// of arch register r; it is meaningful only where the matching bit of
 	// written is set, so Reset clears the mask rather than the table.
@@ -117,23 +124,53 @@ const rdtSlots = 4 * isa.NumIntRegs
 // regSlot maps a valid architectural register to its lastWriter index.
 func regSlot(r isa.Reg) int { return int(r.Class())*isa.NumIntRegs + r.Idx() }
 
-// NewRDT returns an empty table.
-func NewRDT() *RDT {
-	return &RDT{slice: make(map[uint64]bool)}
+// NewRDT returns an empty table for the n-instruction program text at base.
+func NewRDT(base uint64, n int) *RDT {
+	r := &RDT{}
+	r.Reset(base, n)
+	return r
 }
 
-// Reset empties the table (machine reuse).  The slice map's storage is
-// retained, so re-learning a program of similar shape allocates nothing.
-func (r *RDT) Reset() {
-	clear(r.slice)
+// Reset empties the table and sizes it for the n-instruction program text at
+// base (machine reuse).  The bitset's storage is kept when it is large
+// enough, so re-learning a program no longer than any before allocates
+// nothing.
+func (r *RDT) Reset(base uint64, n int) {
+	words := (n + 63) / 64
+	if cap(r.slice) >= words {
+		r.slice = r.slice[:words]
+		clear(r.slice)
+	} else {
+		r.slice = make([]uint64, words)
+	}
+	r.base, r.n = base, uint64(n)
 	r.written = [rdtSlots / 64]uint64{}
 }
 
+// slot maps pc to its instruction slot; ok is false for a PC outside the
+// program text or not on an instruction boundary.
+func (r *RDT) slot(pc uint64) (i uint64, ok bool) {
+	if pc < r.base || (pc-r.base)%isa.InstBytes != 0 {
+		return 0, false
+	}
+	i = (pc - r.base) / isa.InstBytes
+	return i, i < r.n
+}
+
 // InSlice reports whether the instruction at pc belongs to a stall slice.
-func (r *RDT) InSlice(pc uint64) bool { return r.slice[pc] }
+func (r *RDT) InSlice(pc uint64) bool {
+	i, ok := r.slot(pc)
+	return ok && r.slice[i/64]&(1<<(i%64)) != 0
+}
 
 // Len reports the number of slice PCs learned.
-func (r *RDT) Len() int { return len(r.slice) }
+func (r *RDT) Len() int {
+	n := 0
+	for _, w := range r.slice {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // ObserveCommit learns from one committed instruction.  Call in program
 // order during normal mode.
@@ -145,7 +182,7 @@ func (r *RDT) ObserveCommit(pc uint64, in isa.Inst) {
 		if in.UsesIndex() {
 			r.markProducer(in.Rs2)
 		}
-	} else if r.slice[pc] {
+	} else if r.InSlice(pc) {
 		// Slice membership propagates to the producers of slice inputs.
 		for _, s := range in.SrcRegs(srcs[:0]) {
 			r.markProducer(s)
@@ -163,7 +200,9 @@ func (r *RDT) markProducer(reg isa.Reg) {
 		return
 	}
 	if i := regSlot(reg); r.written[i/64]&(1<<(i%64)) != 0 {
-		r.slice[r.lastWriter[i]] = true
+		if s, ok := r.slot(r.lastWriter[i]); ok {
+			r.slice[s/64] |= 1 << (s % 64)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ func TestKindString(t *testing.T) {
 // The RDT must learn a load-address back-slice over repeated commits, as
 // Precise Runahead's pre-execution requires.
 func TestRDTLearnsAddressSlice(t *testing.T) {
-	r := NewRDT()
+	r := NewRDT(100, 3)
 	// Loop body:
 	//   pc=100: addi r2, r1, 8      (address compute, in slice)
 	//   pc=104: mul  r3, r4, r5     (unrelated compute, not in slice)
@@ -50,7 +50,7 @@ func TestRDTLearnsAddressSlice(t *testing.T) {
 // Transitive closure: producers of slice instructions join the slice on
 // later iterations.
 func TestRDTTransitiveClosure(t *testing.T) {
-	r := NewRDT()
+	r := NewRDT(100, 3)
 	body := []struct {
 		pc uint64
 		in isa.Inst
@@ -73,7 +73,7 @@ func TestRDTTransitiveClosure(t *testing.T) {
 }
 
 func TestRDTIgnoresZeroRegister(t *testing.T) {
-	r := NewRDT()
+	r := NewRDT(100, 2)
 	r.ObserveCommit(100, isa.Inst{Op: isa.MOVI, Rd: isa.R(0), Imm: 1})
 	r.ObserveCommit(104, isa.Inst{Op: isa.LD, Rd: isa.R(1), Rs1: isa.R(0)})
 	if r.Len() != 0 {
@@ -82,19 +82,50 @@ func TestRDTIgnoresZeroRegister(t *testing.T) {
 }
 
 // Last writers are tracked per register class, and Reset forgets them: a
-// load after Reset must not mark a producer committed before it.
+// load after Reset must not mark a producer committed before it.  Only
+// instructions of the program text the table was sized for can join a
+// slice, and a Reset onto a longer program covers the whole new text.
 func TestRDTClassesAndReset(t *testing.T) {
-	r := NewRDT()
+	r := NewRDT(100, 3)
 	r.ObserveCommit(100, isa.Inst{Op: isa.MOVI, Rd: isa.R(2), Imm: 1})
 	r.ObserveCommit(104, isa.Inst{Op: isa.FADD, Rd: isa.F(2), Rs1: isa.F(0), Rs2: isa.F(1)})
 	r.ObserveCommit(108, isa.Inst{Op: isa.LD, Rd: isa.R(6), Rs1: isa.R(2)})
 	if !r.InSlice(100) || r.InSlice(104) || r.Len() != 1 {
 		t.Fatalf("slice = {100:%v 104:%v} len %d, want only the r2 writer", r.InSlice(100), r.InSlice(104), r.Len())
 	}
-	r.Reset()
+
+	// A writer outside the text [100, 112) never joins the slice, and
+	// out-of-text or misaligned PCs read as outside it.
+	for _, pc := range []uint64{112, 400} {
+		r.ObserveCommit(pc, isa.Inst{Op: isa.MOVI, Rd: isa.R(3), Imm: 1})
+		r.ObserveCommit(108, isa.Inst{Op: isa.LD, Rd: isa.R(6), Rs1: isa.R(3)})
+		if r.InSlice(pc) || r.Len() != 1 {
+			t.Fatalf("out-of-text writer: InSlice(%d) = %v, len %d; want false, 1", pc, r.InSlice(pc), r.Len())
+		}
+	}
+	for _, pc := range []uint64{0, 96, 101, 112, 1 << 40} {
+		if r.InSlice(pc) {
+			t.Errorf("InSlice(%d) = true for a PC outside the text", pc)
+		}
+	}
+
+	r.Reset(100, 3)
 	r.ObserveCommit(108, isa.Inst{Op: isa.LD, Rd: isa.R(6), Rs1: isa.R(2)})
 	if r.Len() != 0 {
 		t.Fatalf("slice after Reset has %d entries, want 0", r.Len())
+	}
+
+	// Reset onto a longer program: slots past the old bitset's end learn.
+	const n = 200
+	r.Reset(100, n)
+	last := uint64(100 + (n-1)*isa.InstBytes)
+	r.ObserveCommit(last-isa.InstBytes, isa.Inst{Op: isa.MOVI, Rd: isa.R(4), Imm: 1})
+	r.ObserveCommit(last, isa.Inst{Op: isa.LD, Rd: isa.R(6), Rs1: isa.R(4)})
+	if !r.InSlice(last-isa.InstBytes) || r.Len() != 1 {
+		t.Fatalf("longer program: InSlice(%d) = %v, len %d; want true, 1", last-isa.InstBytes, r.InSlice(last-isa.InstBytes), r.Len())
+	}
+	if r.InSlice(last + isa.InstBytes) {
+		t.Fatal("PC one past the longer text reads as in the slice")
 	}
 }
 
