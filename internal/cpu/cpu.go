@@ -258,7 +258,8 @@ type CPU struct {
 	inflight []*uop // issued, awaiting completion; age-ordered under the event scheduler
 	// nextDone is no later than the earliest doneAt in inflight (event
 	// scheduler only): writeback recomputes it as it compacts the list and
-	// issue lowers it.  A store-data wakeup in writeback moves only a store
+	// issue lowers it.  Runahead entry moves doneAts in the commit phase,
+	// before writeback; a store-data wakeup in writeback moves only a store
 	// younger than its producer, which the same age-ordered scan reaches
 	// afterwards.  It may run early — a squash does not raise it — which
 	// costs the idle check a skip, never a cycle.
